@@ -100,6 +100,8 @@ struct PartDriver {
   // so the auditor can verify the calling thread owns this partition's
   // window. Null when unarmed (one branch per entry point).
   check::PartitionOwnershipAuditor* audit = nullptr;
+  // Feeds this partition its slice of the storm schedule.
+  std::optional<storm::ArrivalCursor<PartDriver>> cursor;
 
   PartDriver(const ScaleConfig& c, std::size_t p, sim::EventLoop& l)
       : cfg(c),
@@ -156,11 +158,19 @@ struct PartDriver {
     co_return co_await fut;
   }
 
+  // One scheduled arrival, fired by this partition's storm::ArrivalCursor.
+  static void arrive(PartDriver* d, const storm::Arrival& a) {
+    if (a.dst == storm::Arrival::kIpChange) {
+      d->ip_change(a.src);
+    } else {
+      d->loop.start(connect(d, a.src, a.dst));
+    }
+  }
+
   // Same connection attempt as the single-loop engine (scale.cc), against
   // this partition's local agent and replica state.
   static sim::Task<void> connect(PartDriver* d, std::size_t src,
-                                 std::size_t dst, sim::Time start) {
-    co_await sim::delay(d->loop, start);
+                                 std::size_t dst) {
     if (d->audit) d->audit->note_state_access(d);
     ++d->attempted;
     const sim::Time t0 = d->loop.now();
@@ -224,14 +234,12 @@ struct PartDriver {
 
   // Replica mutations: scheduled in EVERY partition at identical times, so
   // the replicas stay identical without exchanging state.
-  static sim::Task<void> ip_change(PartDriver* d, std::size_t vm,
-                                   sim::Time when) {
-    co_await sim::delay(d->loop, when);
-    if (d->audit) d->audit->note_state_access(d);
-    d->controller.unregister_vgid(storm::vni_of(d->cfg, vm),
-                                  storm::gid_of(vm, d->gen[vm]));
-    ++d->gen[vm];
-    d->register_vm(vm);
+  void ip_change(std::size_t vm) {
+    if (audit) audit->note_state_access(this);
+    controller.unregister_vgid(storm::vni_of(cfg, vm),
+                               storm::gid_of(vm, gen[vm]));
+    ++gen[vm];
+    register_vm(vm);
   }
 
   static sim::Task<void> shard_down(PartDriver* d, std::size_t shard,
@@ -293,23 +301,26 @@ ScaleReport run_scale_storm_parallel(const ScaleConfig& cfg,
   }
 
   // Identical schedule (same seed, same draw order) as the single-loop
-  // engine; each partition spawns its slice in the same relative order, so
-  // same-timestamp ties break the same way within every partition.
-  const storm::StormSchedule sched = storm::StormSchedule::draw(cfg);
-  for (const auto& c : sched.wave_conns) {
-    PartDriver& d =
-        *parts[storm::partition_of_host(cfg, storm::host_of(cfg, c.src))];
-    d.loop.spawn(PartDriver::connect(&d, c.src, c.dst, c.start));
-  }
-  for (const auto& ch : sched.ip_changes) {
+  // engine. Each partition gets one arrival cursor over its slice: its own
+  // hosts' connections plus every IP change (replica mutation), with
+  // sequence numbers reserved in the same relative order, so
+  // same-timestamp ties break the same way within every partition. The
+  // schedule itself is dropped before the run; the traffic phase, a pure
+  // function of it, runs first.
+  TrafficReport traffic;
+  {
+    const storm::StormSchedule sched = storm::StormSchedule::draw(cfg);
     for (auto& d : parts) {
-      d->loop.spawn(PartDriver::ip_change(d.get(), ch.vm, ch.when));
+      auto owns = [&cfg, p = d->part](std::size_t vm) {
+        return storm::partition_of_host(cfg, storm::host_of(cfg, vm)) == p;
+      };
+      d->cursor.emplace(d->loop, d.get(), &PartDriver::arrive,
+                        storm::arrivals_for(sched, d->loop, owns));
     }
-  }
-  for (const auto& c : sched.reset_conns) {
-    PartDriver& d =
-        *parts[storm::partition_of_host(cfg, storm::host_of(cfg, c.src))];
-    d.loop.spawn(PartDriver::connect(&d, c.src, c.dst, c.start));
+    // Fabric traffic phase: pure function of (config, schedule) on its own
+    // single-threaded loop — byte-identical to the single-loop engine's
+    // block at any worker-thread count.
+    if (cfg.traffic.enabled) traffic = run_traffic_phase(cfg, sched);
   }
   if (cfg.down_shard >= 0) {
     const std::size_t shard =
@@ -451,10 +462,7 @@ ScaleReport run_scale_storm_parallel(const ScaleConfig& cfg,
   r.sim_events = group.total_events();
   r.trace_hash = cfg.trace ? group.combined_trace_hash() : 0;
   r.engine_threads = group.threads();
-  // Fabric traffic phase: pure function of (config, schedule) on its own
-  // single-threaded loop — byte-identical to the single-loop engine's
-  // block at any worker-thread count.
-  if (cfg.traffic.enabled) r.traffic = run_traffic_phase(cfg, sched);
+  r.traffic = traffic;
   return r;
 }
 

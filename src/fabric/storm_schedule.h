@@ -6,7 +6,8 @@
 // geometry, same vGID arithmetic, and — critically — the same seeded
 // random draws in the same order. Everything here is a pure function of
 // (config, seed); neither engine consumes randomness after its loops
-// start.
+// start. Both engines also feed the schedule to their loops the same way,
+// through one ArrivalCursor per loop.
 #pragma once
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 
 #include "fabric/scale.h"
 #include "net/addr.h"
+#include "sim/event_loop.h"
 
 namespace fabric::storm {
 
@@ -104,6 +106,87 @@ struct StormSchedule {
   std::vector<Conn> reset_conns;
 
   static StormSchedule draw(const ScaleConfig& cfg);
+};
+
+// ---- arrivals: feeding the schedule to a loop (DESIGN.md §13) ----
+// One storm arrival in compact form: a connection attempt src -> dst, or a
+// vBond IP change of VM `src` (dst == kIpChange). `seq` is a sequence
+// number reserved on the arrival's loop; it is the same-timestamp
+// tie-break.
+struct Arrival {
+  static constexpr std::uint32_t kIpChange = 0xffffffffu;
+  sim::Time t;
+  std::uint64_t seq;
+  std::uint32_t src;
+  std::uint32_t dst;
+};
+
+// The slice of `s` that one loop runs: the connections whose source VM
+// `owns_vm` accepts, and every IP change. Sequence numbers are reserved on
+// `loop` in schedule order (wave connections, IP changes, reset
+// connections), and the result is sorted by (t, seq), so each arrival
+// fires exactly where a coroutine spawned per arrival at setup, sleeping
+// until its start time, used to wake.
+template <typename OwnsVm>
+std::vector<Arrival> arrivals_for(const StormSchedule& s,
+                                  sim::EventLoop& loop, OwnsVm owns_vm) {
+  std::vector<Arrival> out;
+  auto add = [&out](sim::Time t, std::size_t src, std::uint32_t dst) {
+    out.push_back(Arrival{t, out.size(), static_cast<std::uint32_t>(src),
+                          dst});
+  };
+  for (const auto& c : s.wave_conns) {
+    if (owns_vm(c.src)) add(c.start, c.src, static_cast<std::uint32_t>(c.dst));
+  }
+  for (const auto& ch : s.ip_changes) add(ch.when, ch.vm, Arrival::kIpChange);
+  for (const auto& c : s.reset_conns) {
+    if (owns_vm(c.src)) add(c.start, c.src, static_cast<std::uint32_t>(c.dst));
+  }
+  const std::uint64_t first = loop.reserve_seqs(out.size());
+  for (Arrival& a : out) a.seq += first;
+  std::sort(out.begin(), out.end(), [](const Arrival& a, const Arrival& b) {
+    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+  });
+  return out;
+}
+
+// Feeds a loop its arrivals through ONE pending event: each firing hands
+// the next arrival to `fire` and re-arms itself at the one after. The
+// drivers' `fire` starts a connection coroutine inline
+// (sim::EventLoop::start), so only in-flight arrivals hold a coroutine
+// frame; the rest of the schedule waits as 24-byte records. Not movable:
+// the pending event points at it.
+template <typename Driver>
+class ArrivalCursor {
+ public:
+  using FireFn = void (*)(Driver*, const Arrival&);
+
+  ArrivalCursor(sim::EventLoop& loop, Driver* driver, FireFn fire,
+                std::vector<Arrival> arrivals)
+      : loop_(loop),
+        driver_(driver),
+        fire_(fire),
+        arrivals_(std::move(arrivals)) {
+    arm();
+  }
+  ArrivalCursor(const ArrivalCursor&) = delete;
+  ArrivalCursor& operator=(const ArrivalCursor&) = delete;
+
+ private:
+  void arm() {
+    if (next_ == arrivals_.size()) return;
+    const Arrival& a = arrivals_[next_];
+    loop_.schedule_at_seq(a.t, a.seq, [this] {
+      fire_(driver_, arrivals_[next_++]);
+      arm();
+    });
+  }
+
+  sim::EventLoop& loop_;
+  Driver* driver_;
+  FireFn fire_;
+  std::vector<Arrival> arrivals_;
+  std::size_t next_ = 0;
 };
 
 }  // namespace fabric::storm

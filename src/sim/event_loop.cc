@@ -23,11 +23,20 @@ EventLoop::~EventLoop() {
 }
 
 void EventLoop::schedule_at(Time t, Callback cb) {
+  push(t, seq_++, std::move(cb));
+}
+
+void EventLoop::schedule_at_seq(Time t, std::uint64_t seq, Callback cb) {
+  assert(seq < seq_ && "sequence number was not reserved");
+  push(t, seq, std::move(cb));
+}
+
+void EventLoop::push(Time t, std::uint64_t seq, Callback cb) {
   if (probe_) probe_->on_loop_access(*this, "schedule");
   if (t < now_) t = now_;
   EventNode* n = pool_.acquire();
   n->t = t;
-  n->seq = seq_++;
+  n->seq = seq;
   n->cb = std::move(cb);
   queue_.push(n);
 }
@@ -89,11 +98,21 @@ void EventLoop::run_before(Time end) {
 
 void EventLoop::spawn(Task<void> task) {
   if (!task.valid() || task.done()) return;
+  const std::coroutine_handle<> handle = adopt_root(std::move(task));
+  schedule_after(0, [handle] { handle.resume(); });
+}
+
+void EventLoop::start(Task<void> task) {
+  if (!task.valid() || task.done()) return;
+  adopt_root(std::move(task)).resume();
+}
+
+std::coroutine_handle<> EventLoop::adopt_root(Task<void> task) {
   RootHandle handle = task.release();
   handle.promise().root_owner = this;
   handle.promise().root_index = roots_.size();
   roots_.push_back(handle.address());
-  schedule_after(0, [handle] { handle.resume(); });
+  return handle;
 }
 
 void EventLoop::reap_finished_tasks() {

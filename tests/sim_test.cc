@@ -2,6 +2,7 @@
 // stats accumulator.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
@@ -111,6 +112,49 @@ sim::Task<void> thrower(sim::EventLoop& loop) {
 TEST(TaskTest, RootTaskExceptionPropagatesFromRun) {
   sim::EventLoop loop;
   loop.spawn(thrower(loop));
+  EXPECT_THROW(loop.run(), std::runtime_error);
+}
+
+// A reserved sequence number holds its place in the same-timestamp order:
+// the event fires after everything scheduled before the reservation and
+// before everything scheduled after it, even though it is pushed last.
+TEST(EventLoopTest, ReservedSeqKeepsItsPlaceAmongTies) {
+  sim::EventLoop loop;
+  std::vector<int> order;
+  loop.schedule_at(5_us, [&] { order.push_back(1); });
+  const std::uint64_t seq = loop.reserve_seqs(2);
+  loop.schedule_at(5_us, [&] { order.push_back(4); });
+  loop.schedule_at(3_us, [&] {
+    // Scheduled from inside the run, after the reservation was made.
+    loop.schedule_at(5_us, [&] { order.push_back(5); });
+    loop.schedule_at_seq(5_us, seq + 1, [&] { order.push_back(3); });
+    loop.schedule_at_seq(5_us, seq, [&] { order.push_back(2); });
+  });
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+sim::Task<void> record_then_sleep(sim::EventLoop& loop,
+                                  std::vector<int>* order) {
+  order->push_back(1);
+  co_await sim::delay(loop, 1_us);
+  order->push_back(3);
+}
+
+TEST(TaskTest, StartRunsInlineUntilFirstSuspension) {
+  sim::EventLoop loop;
+  std::vector<int> order;
+  loop.start(record_then_sleep(loop, &order));
+  order.push_back(2);  // start() returned at the co_await
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  loop.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(loop.now(), 1_us);
+}
+
+TEST(TaskTest, StartedRootExceptionPropagatesFromRun) {
+  sim::EventLoop loop;
+  loop.schedule_at(2_us, [&] { loop.start(thrower(loop)); });
   EXPECT_THROW(loop.run(), std::runtime_error);
 }
 
