@@ -6,6 +6,7 @@
 #include <mutex>
 #include <thread>
 
+#include "sim/arena.h"
 #include "sim/ready_queue.h"
 
 namespace sim {
@@ -76,7 +77,7 @@ struct PartitionGroup::Pool {
         std::unique_lock<std::mutex> lk(mu_);
         start_cv_.wait(lk,
                        [&] { return shutdown_ || round_ != seen_round; });
-        if (shutdown_) return;
+        if (shutdown_) break;
         seen_round = round_;
       }
       drain(w);
@@ -85,6 +86,9 @@ struct PartitionGroup::Pool {
         done_cv_.notify_all();
       }
     }
+    // This thread's free coroutine frames would die with it; hand them to
+    // the next thread that needs frames.
+    detail::release_thread_frames();
   }
 
   void drain(std::size_t w) {
