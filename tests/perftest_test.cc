@@ -3,6 +3,7 @@
 // aggregate stability, and rate-limiting accuracy.
 #include <gtest/gtest.h>
 
+#include <iomanip>
 #include <memory>
 
 #include "apps/perftest.h"
@@ -149,6 +150,41 @@ TEST(PerftestBw, PairsShareTheLineFairly) {
   const double aggregate = apps::perftest::run_bw_pairs(*bed, 4, cfg);
   EXPECT_GT(aggregate, 34.0);
   EXPECT_LE(aggregate, 40.0);
+}
+
+// Fig. 10/11 shapes pinned to the exact double: 64 KiB WRITEs over 1, 64
+// and 1024 QPs. Every one of these messages is a fluid flow, so these
+// values are a pure function of the max-min solver's arithmetic and its
+// flow-visiting order; a solver rewrite must leave them bit-identical.
+struct BwGolden {
+  Candidate candidate;
+  int qps;
+  int iterations;
+  int window;
+  double gbps;
+};
+
+TEST(PerftestGolden, WriteBandwidthIsBitExact) {
+  const BwGolden goldens[] = {
+      {Candidate::kHostRdma, 1, 64, 128, 0x1.2e40f3a4e3664p+5},
+      {Candidate::kMasq, 1, 64, 128, 0x1.2e26d2b1c2224p+5},
+      {Candidate::kMasq, 64, 8, 64, 0x1.2e75e7d364448p+5},
+      {Candidate::kSriov, 256, 4, 64, 0x1.212b64bea2e0ep+5},
+      {Candidate::kMasq, 1024, 2, 64, 0x1.2ec84c1ebd2ap+5},
+  };
+  for (const BwGolden& g : goldens) {
+    sim::EventLoop loop;
+    auto bed = make_bed(loop, g.candidate);
+    BwConfig cfg;
+    cfg.op = Op::kWrite;
+    cfg.msg_size = 65536;
+    cfg.num_qps = g.qps;
+    cfg.iterations = g.iterations;
+    cfg.window = g.window;
+    const double gbps = apps::perftest::run_bw(*bed, cfg);
+    EXPECT_EQ(gbps, g.gbps) << fabric::to_string(g.candidate) << " " << g.qps
+                            << " QPs: got " << std::hexfloat << gbps;
+  }
 }
 
 }  // namespace
