@@ -6,6 +6,7 @@
 // replaced would have leaked hash-table order into the event stream).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -68,6 +69,47 @@ TEST(FlatMapTest, EraseByIteratorDuringIteration) {
   }
   EXPECT_EQ(m.size(), 66u);
   for (const auto& [k, v] : m) EXPECT_NE(k % 3, 0u);
+}
+
+// The rnic::Qp::pending pattern: a table that never holds more than a
+// couple of entries, fed by inserts and drained only by iterator erase.
+// The index must stay sized by the live entries, not by every key the
+// table has ever seen, and iteration must keep working after compaction.
+TEST(FlatMapTest, IteratorEraseChurnDoesNotGrowTheIndex) {
+  sim::FlatMap<std::uint64_t, std::uint64_t> m;
+  std::size_t max_buckets = 0;
+  for (std::uint64_t k = 0; k < 100'000; ++k) {
+    m.emplace(k, k);
+    if (k % 2 == 1) {
+      // Drain both entries the way drain_acks does.
+      for (auto it = m.begin(); it != m.end();) it = m.erase(it);
+    }
+    max_buckets = std::max(max_buckets, m.bucket_count());
+  }
+  EXPECT_TRUE(m.empty());
+  EXPECT_LE(max_buckets, 16u);
+  m.emplace(7u, 70u);
+  m.emplace(3u, 30u);
+  std::vector<std::uint64_t> keys;
+  for (const auto& [k, v] : m) keys.push_back(k);
+  EXPECT_EQ(keys, (std::vector<std::uint64_t>{7u, 3u}));
+  EXPECT_EQ(m.at(3u), 30u);
+}
+
+// Compaction on insert keeps the survivors in insertion order.
+TEST(FlatMapTest, CompactionOnInsertPreservesOrder) {
+  sim::FlatMap<std::uint32_t, std::uint32_t> m;
+  for (std::uint32_t k = 0; k < 14; ++k) m.emplace(k, k);  // fills 16 slots
+  const std::size_t buckets = m.bucket_count();
+  for (auto it = m.begin(); it != m.end();) {
+    it = it->first % 4 == 0 ? ++it : m.erase(it);
+  }
+  m.emplace(100u, 100u);  // full dense vector, 10 of 14 dead: compacts
+  EXPECT_EQ(m.bucket_count(), buckets);
+  std::vector<std::uint32_t> keys;
+  for (const auto& [k, v] : m) keys.push_back(k);
+  EXPECT_EQ(keys, (std::vector<std::uint32_t>{0u, 4u, 8u, 12u, 100u}));
+  for (std::uint32_t k : keys) EXPECT_EQ(m.at(k), k);
 }
 
 // The 100-seed randomized sweep: every operation mix must agree with a
