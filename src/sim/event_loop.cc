@@ -20,6 +20,14 @@ EventLoop::EventLoop() = default;
 EventLoop::~EventLoop() {
   // The loop owns every spawned frame, finished or not.
   for (void* addr : roots_) root_handle(addr).destroy();
+  // Events still queued never run: destroy their callbacks (and whatever
+  // they own) and return the nodes, which the passthrough pool frees.
+  while (!queue_.empty()) {
+    queue_.drain([this](EventNode* n) {
+      n->cb = nullptr;
+      pool_.release(n);
+    });
+  }
 }
 
 void EventLoop::schedule_at(Time t, Callback cb) {

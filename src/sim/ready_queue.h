@@ -101,6 +101,26 @@ class ReadyQueue {
     return n;
   }
 
+  // Empties the queue without running anything, handing every node to
+  // `release`. Nodes are collected first, so `release` may push new events;
+  // they stay queued for the caller to drain in turn.
+  template <typename F>
+  void drain(F&& release) {
+    std::vector<EventNode*> nodes;
+    nodes.reserve(size_);
+    for (std::vector<EventNode*>& b : ring_) {
+      nodes.insert(nodes.end(), b.begin(), b.end());
+      b.clear();
+    }
+    for (const Entry& e : cur_) nodes.push_back(e.node);
+    for (const Entry& e : overflow_) nodes.push_back(e.node);
+    cur_.clear();
+    overflow_.clear();
+    ring_count_ = 0;
+    size_ = 0;
+    for (EventNode* n : nodes) release(n);
+  }
+
   static constexpr Time kMaxTime =
       std::numeric_limits<Time>::max();  // sentinel for "queue empty"
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -73,6 +74,24 @@ TEST(EventLoopTest, RunUntilStopsAtDeadline) {
   EXPECT_EQ(loop.now(), 15_us);
   loop.run();
   EXPECT_EQ(fired, 2);
+}
+
+// A loop destroyed with events still queued releases them unrun, whether
+// they sit in the live heap, a wheel bucket or the overflow heap.
+TEST(EventLoopTest, DestructorReleasesQueuedCallbacks) {
+  auto token = std::make_shared<int>(7);
+  bool ran_late = false;
+  {
+    sim::EventLoop loop;
+    loop.schedule_at(10, [t = token] {});
+    loop.schedule_at(20, [t = token, &ran_late] { ran_late = true; });
+    loop.schedule_at(50_us, [t = token] {});
+    loop.schedule_at(2_s, [t = token] {});
+    loop.run_until(15);
+    EXPECT_EQ(token.use_count(), 4);
+  }
+  EXPECT_FALSE(ran_late);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EventLoopTest, PastEventsClampToNow) {
