@@ -16,10 +16,10 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
-#include <map>
 #include <vector>
 
 #include "sim/event_loop.h"
+#include "sim/flat_map.h"
 #include "sim/time.h"
 
 namespace net {
@@ -75,7 +75,8 @@ class FluidNet {
   sim::Time path_propagation(const std::vector<LinkId>& path) const;
 
   // Instantaneous offered load on a link (sum of crossing flows' rates),
-  // in Gbps — what an ECN marking engine watches.
+  // in Gbps — what an ECN marking engine watches. O(1) after the first
+  // call following a reallocation, which sums every link at once.
   double link_load_gbps(LinkId id) const;
   // The links a flow traverses (nullptr if the flow is gone).
   const std::vector<LinkId>* flow_path(FlowId id) const;
@@ -92,7 +93,12 @@ class FluidNet {
     double bytes_done = 0;
     double cap;                     // bytes/ns
     double rate = 0;                // bytes/ns, assigned by reallocate()
+    bool fix_now = false;           // reallocate() scratch: fixed this round
     std::function<void()> on_complete;
+  };
+  struct LinkState {
+    double remaining;  // bytes/ns not yet handed to fixed flows
+    int unfixed_flows;
   };
 
   // Advances every finite flow's remaining-byte count to now().
@@ -104,10 +110,18 @@ class FluidNet {
 
   sim::EventLoop& loop_;
   std::vector<Link> links_;
-  // Ordered by FlowId: reallocate()/fire_completions() iterate this map
-  // and their iteration order feeds completion-event ordering, which
-  // must be deterministic (masq-lint: unordered-iter).
-  std::map<FlowId, Flow> flows_;
+  // Iterates in insertion order, and FlowIds are handed out increasing, so
+  // every walk is in FlowId order. That order fixes the order of the
+  // floating-point updates in reallocate() and of completion events, which
+  // is what keeps every figure bit-exact and deterministic.
+  sim::FlatMap<FlowId, Flow> flows_;
+  // reallocate() scratch, kept so a reallocation allocates nothing: the
+  // per-link fill state and the unfixed flows in FlowId order.
+  std::vector<LinkState> link_state_;
+  std::vector<Flow*> unfixed_;
+  // Per-link load in bytes/ns, summed lazily after each reallocation.
+  mutable std::vector<double> link_load_;
+  mutable bool link_load_stale_ = true;
   FlowId next_flow_id_ = 1;
   sim::Time last_settle_ = 0;
   std::uint64_t timer_generation_ = 0;
