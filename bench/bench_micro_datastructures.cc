@@ -8,8 +8,10 @@
 // kept in-repo.
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "mem/address_space.h"
 #include "net/fluid.h"
@@ -75,6 +77,45 @@ void BM_FluidReallocate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * flows);
 }
 BENCHMARK(BM_FluidReallocate)->Arg(16)->Arg(128)->Arg(1024);
+
+// The shape RDMA traffic actually gives the solver: every message is a
+// finite flow, and each completion posts the next message on the same
+// path (a full send window). 1,024 live 64 KiB flows over 8 paths that
+// share two spine links; each message costs a reallocation at its start
+// and one at its completion. Reported as wall time per message
+// (`time_per_msg`).
+void BM_FluidMessageChurn(benchmark::State& state) {
+  constexpr int kLiveFlows = 1024;
+  constexpr int kPaths = 8;
+  sim::EventLoop loop;
+  net::FluidNet fnet(loop);
+  std::vector<net::LinkId> spines = {fnet.add_link(100.0, 0),
+                                     fnet.add_link(100.0, 0)};
+  std::vector<std::vector<net::LinkId>> paths;
+  for (int p = 0; p < kPaths; ++p) {
+    paths.push_back({fnet.add_link(40.0, 0), spines[p % 2],
+                     fnet.add_link(40.0, 0)});
+  }
+  std::uint64_t messages = 0;
+  std::function<void(int)> post = [&](int p) {
+    fnet.start_flow(paths[p], 65536, net::kUncapped, [&post, &messages, p] {
+      ++messages;
+      post(p);
+    });
+  };
+  for (int i = 0; i < kLiveFlows; ++i) post(i % kPaths);
+  const std::uint64_t first = messages;
+  for (auto _ : state) {
+    const std::uint64_t target = messages + kLiveFlows;
+    while (messages < target) loop.run_until(loop.next_event_time());
+  }
+  const auto done = static_cast<double>(messages - first);
+  state.SetItemsProcessed(static_cast<std::int64_t>(done));
+  // Inverted rate: wall seconds per message, printed with an SI prefix.
+  state.counters["time_per_msg"] = benchmark::Counter(
+      done, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_FluidMessageChurn)->Unit(benchmark::kMillisecond);
 
 void BM_PageTableResolve(benchmark::State& state) {
   mem::HostPhysMap phys(64 << 20);

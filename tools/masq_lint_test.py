@@ -43,6 +43,8 @@ EXPECT = {
     ("container", "violating"): {"container"},
     ("container", "allowed"): set(),
     ("container", "clean"): set(),
+    # The fluid model's flow table: net/ is a hot-path layer too.
+    ("container", "net_violating"): {"container"},
     ("event_callback", "violating"): {"event-callback"},
     ("event_callback", "allowed"): set(),
     ("event_callback", "clean"): set(),
