@@ -73,6 +73,7 @@ sim::Task<void> operator_events(fabric::Testbed* bed) {
 }  // namespace
 
 int main() {
+  bench::keep_large_buffers_resident();  // 8 MiB messages
   bench::title("Fig. 17", "rate limiting + security teardown timeline "
                           "(tenants share one spine link)");
 

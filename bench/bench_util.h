@@ -11,6 +11,10 @@
 #include <optional>
 #include <string>
 
+#if defined(__GLIBC__)  // defined by any libc header, e.g. <cstdio>
+#include <malloc.h>
+#endif
+
 #include "fabric/testbed.h"
 
 namespace bench {
@@ -23,6 +27,20 @@ inline void title(const std::string& experiment, const std::string& what) {
 
 inline void note(const std::string& text) {
   std::printf("  note: %s\n", text.c_str());
+}
+
+// For benches whose messages are several MiB. Each message allocates its
+// payload plus the RNIC's retransmission copy and frees both at the ack.
+// Under glibc's defaults those buffers may be mmap'd and unmapped, or
+// trimmed off the heap top, per message, and the next message then faults
+// every page back in: most of Fig. 17's wall time went to the kernel that
+// way. Serving them from the heap and keeping freed memory in the process
+// changes no output, only where the bytes live between messages.
+inline void keep_large_buffers_resident() {
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 32 << 20);  // glibc's maximum
+  mallopt(M_TRIM_THRESHOLD, 256 << 20);
+#endif
 }
 
 struct BedOptions {
