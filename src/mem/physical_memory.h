@@ -17,6 +17,8 @@
 #include <span>
 #include <vector>
 
+#include "sim/flat_map.h"
+
 namespace mem {
 
 using Addr = std::uint64_t;
@@ -44,7 +46,7 @@ class SparseBytes {
   static constexpr Addr kChunkBytes = 64 * 1024;
 
   Addr size_;
-  std::map<Addr, std::vector<std::uint8_t>> chunks_;  // chunk index -> bytes
+  sim::FlatMap<Addr, std::vector<std::uint8_t>> chunks_;  // chunk idx -> bytes
 };
 
 // A device exposing memory-mapped registers (e.g. an RNIC doorbell BAR).
@@ -92,6 +94,7 @@ class HostPhysMap {
 
   SparseBytes dram_;
   // Free list keyed by start page -> page count; adjacent ranges coalesced.
+  // masq-lint: allow(container) first-fit/coalescing walk in address order
   std::map<Addr, Addr> free_list_;
   Addr allocated_pages_ = 0;
   std::vector<MmioRange> mmio_;

@@ -34,6 +34,7 @@ class RegionAllocator {
   Addr base_;
   Addr size_;
   Addr allocated_ = 0;
+  // masq-lint: allow(container) first-fit/coalescing walk in address order
   std::map<Addr, Addr> free_list_;  // start -> length (bytes)
 };
 

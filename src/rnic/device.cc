@@ -642,7 +642,7 @@ void RnicDevice::launch_wqe(Qp& qp, SendWr wr) {
   const auto& costs = config_.costs;
 
   // Local sge validation + DMA read of the payload (send/write).
-  std::vector<std::uint8_t> payload;
+  Payload payload;
   if (wr.opcode != WrOpcode::kRdmaRead && wr.sge.length > 0) {
     WcStatus st;
     MemoryRegion* mr = validate_local_sge(qp, wr.sge, &st);
@@ -653,8 +653,9 @@ void RnicDevice::launch_wqe(Qp& qp, SendWr wr) {
       }
       return;
     }
-    payload.resize(wr.sge.length);
-    mr->dma_read(wr.sge.addr, payload);
+    std::vector<std::uint8_t> bytes(wr.sge.length);
+    mr->dma_read(wr.sge.addr, bytes);
+    payload = Payload(std::move(bytes));
   }
   if (wr.opcode == WrOpcode::kRdmaRead && wr.sge.length > 0) {
     // Validate the landing buffer up front; data arrives later.
@@ -710,7 +711,7 @@ void RnicDevice::launch_wqe(Qp& qp, SendWr wr) {
   const bool is_ud = qp.init.type == QpType::kUd;
   if (!is_ud) {
     PendingSend pend{wr, false, WcStatus::kSuccess};
-    pend.msg = msg;  // retransmission copy
+    pend.msg = msg;  // shares the payload buffer
     pend.retries_left = kRcRetryCount;
     qp.pending.emplace(msg.psn, std::move(pend));
     ++qp.outstanding;
@@ -1076,8 +1077,9 @@ void RnicDevice::handle_in_order(Qp& qp, Message& msg) {
       }
       Message resp;
       resp.op = MsgOp::kReadResp;
-      resp.payload.resize(msg.read_len);
-      mr->dma_read(msg.remote_addr, resp.payload);
+      std::vector<std::uint8_t> bytes(msg.read_len);
+      mr->dma_read(msg.remote_addr, bytes);
+      resp.payload = Payload(std::move(bytes));
       resp.psn = msg.psn;  // echoes the request psn
       resp.src_qpn = qp.qpn;
       resp.src_underlay = fns_[kPf].ip;

@@ -23,6 +23,7 @@
 #include <functional>
 #include <list>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,12 +77,35 @@ enum class MsgOp : std::uint8_t {
   kUdSend,
 };
 
+// A message's bytes: read from the MR once, when the WQE launches, and
+// immutable from then on. Copies of a Message (the RC retransmission entry,
+// each retransmitted attempt) share one buffer, so a retransmit resends the
+// bytes as they were at post time without copying them.
+class Payload {
+ public:
+  Payload() = default;
+  explicit Payload(std::vector<std::uint8_t> bytes)
+      : bytes_(std::make_shared<const std::vector<std::uint8_t>>(
+            std::move(bytes))) {}
+
+  std::size_t size() const { return bytes_ ? bytes_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  // Implicit, so a DMA write takes the payload as its source directly.
+  operator std::span<const std::uint8_t>() const {
+    return bytes_ ? std::span<const std::uint8_t>(*bytes_)
+                  : std::span<const std::uint8_t>();
+  }
+
+ private:
+  std::shared_ptr<const std::vector<std::uint8_t>> bytes_;
+};
+
 // One WQE's worth of data on the wire. MTU segmentation is charged as
 // per-packet header bytes in the flow size, not simulated packet by packet.
 struct Message {
   net::RoceFrame frame;
   MsgOp op = MsgOp::kSend;
-  std::vector<std::uint8_t> payload;
+  Payload payload;
   mem::Addr remote_addr = 0;      // write / read
   Key rkey = 0;                   // write / read
   std::uint32_t read_len = 0;     // read request
@@ -342,8 +366,9 @@ class RnicDevice : public mem::MmioDevice {
     SendWr wr;
     bool done = false;
     WcStatus status = WcStatus::kSuccess;
-    // Retransmission state: a copy of the wire message plus the remaining
-    // retry budget. RC only (UD keeps no pending entry).
+    // Retransmission state: the wire message (sharing the in-flight
+    // message's payload) plus the remaining retry budget. RC only (UD
+    // keeps no pending entry).
     Message msg;
     int retries_left = 0;
   };

@@ -441,12 +441,8 @@ std::vector<Observation> run_scenario(const Scenario& s) {
   return log;
 }
 
-class FluidReferenceTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(FluidReferenceTest, BitIdenticalToMapBasedSolver) {
-  const Scenario s = make_scenario(static_cast<std::uint64_t>(GetParam()));
-  const auto want = run_scenario<RefFluid>(s);
-  const auto got = run_scenario<net::FluidNet>(s);
+void expect_bit_identical(const std::vector<Observation>& want,
+                          const std::vector<Observation>& got) {
   ASSERT_EQ(want.size(), got.size()) << "observation streams diverged";
   for (std::size_t i = 0; i < want.size(); ++i) {
     ASSERT_EQ(want[i].what, got[i].what) << "at observation " << i;
@@ -459,7 +455,191 @@ TEST_P(FluidReferenceTest, BitIdenticalToMapBasedSolver) {
   }
 }
 
+class FluidReferenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FluidReferenceTest, BitIdenticalToMapBasedSolver) {
+  const Scenario s = make_scenario(static_cast<std::uint64_t>(GetParam()));
+  expect_bit_identical(run_scenario<RefFluid>(s),
+                       run_scenario<net::FluidNet>(s));
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, FluidReferenceTest, ::testing::Range(1, 129));
+
+// ---- bulk scenarios --------------------------------------------------------
+//
+// The shape RDMA traffic gives the solver: hundreds of live finite flows
+// over a few shared paths, run closed-loop (each completion posts the next
+// flow on its path, like a full send window), with a link-capacity drop
+// mid-run. On the capped path, consecutive flows take different finite
+// caps, so flows with distinct caps interleave in FlowId order on the
+// shared link and rounds that fix several caps at once are order-sensitive.
+
+struct BulkScenario {
+  std::vector<double> link_gbps;
+  std::vector<std::vector<LinkId>> paths;  // <= 4, all through link 0
+  std::vector<int> window;                 // live flows per path
+  std::vector<double> caps;                // cycled on path 0 (Gbps)
+  std::uint64_t min_bytes = 0, max_bytes = 0;
+  int messages = 0;                        // flows posted in all
+  LinkId drop_link = 0;                    // cut after messages / 2 finish
+  double drop_gbps = 0;
+  std::uint64_t seed = 0;
+};
+
+BulkScenario make_bulk_scenario(std::uint64_t seed) {
+  sim::Rng rng(seed);
+  BulkScenario s;
+  s.seed = seed;
+  // Link 0 is the shared spine; then a tx and an rx link per path.
+  const std::size_t n_paths = 2 + rng.next_below(3);
+  s.link_gbps.push_back(rng.next_bool(0.5) ? 40.0 : 100.0);
+  for (std::size_t p = 0; p < n_paths; ++p) {
+    const auto tx = static_cast<LinkId>(s.link_gbps.size());
+    s.link_gbps.push_back(rng.next_bool(0.5) ? 25.0 : 40.0);
+    s.link_gbps.push_back(40.0);
+    s.paths.push_back({tx, 0, tx + 1});
+  }
+  int live = 0;
+  for (std::size_t p = 0; p < n_paths; ++p) {
+    s.window.push_back(50 + static_cast<int>(rng.next_below(200)));
+    live += s.window.back();
+  }
+  // Around the per-flow fair share of the spine, so caps sometimes bind
+  // together and sometimes not at all.
+  const double share = s.link_gbps[0] / live;
+  for (double k : {0.35, 0.8, 1.6}) {
+    s.caps.push_back(share * k * (0.9 + 0.2 * rng.next_double()));
+  }
+  s.min_bytes = 2'000;
+  s.max_bytes = 2'000 + rng.next_below(30'000);
+  s.messages = 2 * live;
+  s.drop_link = rng.next_bool(0.5) ? 0 : s.paths[0][0];
+  s.drop_gbps = rng.next_bool(0.5) ? 10.0 : 1.0;
+  return s;
+}
+
+template <typename Model>
+std::vector<Observation> run_bulk_scenario(const BulkScenario& s) {
+  sim::EventLoop loop;
+  Model m(loop);
+  std::vector<LinkId> links;
+  for (double g : s.link_gbps) links.push_back(m.add_link(g, 700));
+  sim::Rng rng(s.seed * 7919 + 1);
+  std::vector<Observation> log;
+  std::vector<FlowId> ids;  // by start order
+  std::vector<std::size_t> posted(s.paths.size(), 0);
+  int completed = 0;
+
+  auto snapshot = [&](const char* tag) {
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (!m.has_flow(ids[i])) continue;
+      log.push_back({std::string(tag) + " rate f" + std::to_string(i),
+                     loop.now(), m.current_rate_gbps(ids[i])});
+      log.push_back({std::string(tag) + " bytes f" + std::to_string(i),
+                     loop.now(), static_cast<double>(m.bytes_sent(ids[i]))});
+    }
+    for (LinkId l : links) {
+      log.push_back({std::string(tag) + " load l" + std::to_string(l),
+                     loop.now(), m.link_load_gbps(l)});
+    }
+  };
+
+  std::function<void(std::size_t)> post = [&](std::size_t p) {
+    const std::uint64_t bytes =
+        s.min_bytes + rng.next_below(s.max_bytes - s.min_bytes + 1);
+    const double cap =
+        p == 0 && posted[p] % (s.caps.size() + 1) != 0
+            ? s.caps[posted[p] % (s.caps.size() + 1) - 1]
+            : net::kUncapped;
+    ++posted[p];
+    const std::size_t idx = ids.size();
+    log.push_back({"cap f" + std::to_string(idx), loop.now(), cap});
+    ids.push_back(m.start_flow(s.paths[p], bytes, cap, [&, p, idx] {
+      ++completed;
+      log.push_back({"done f" + std::to_string(idx), loop.now(), 0.0});
+      if (completed == s.messages / 4 || completed == 3 * s.messages / 4) {
+        loop.schedule_after(1, [&] { snapshot("probe"); });
+      }
+      if (completed == s.messages / 2) {
+        loop.schedule_after(1, [&] {
+          m.set_link_capacity(links[s.drop_link], s.drop_gbps);
+          snapshot("drop");
+          log.push_back({"drop active", loop.now(),
+                         static_cast<double>(m.active_flows())});
+        });
+      }
+      if (completed + static_cast<int>(m.active_flows()) <= s.messages) {
+        post(p);
+        log.push_back({"rate f" + std::to_string(ids.size() - 1), loop.now(),
+                       m.current_rate_gbps(ids.back())});
+      }
+    }));
+  };
+  // Windows open interleaved, so every path's flows mix in FlowId order.
+  int max_window = 0;
+  for (int w : s.window) max_window = std::max(max_window, w);
+  for (int k = 0; k < max_window; ++k) {
+    for (std::size_t p = 0; p < s.paths.size(); ++p) {
+      if (k < s.window[p]) post(p);
+    }
+  }
+  snapshot("start");
+  loop.run();
+  snapshot("end");
+  log.push_back({"completed", loop.now(), static_cast<double>(completed)});
+  return log;
+}
+
+class FluidBulkReferenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(FluidBulkReferenceTest, BitIdenticalToMapBasedSolver) {
+  const BulkScenario s =
+      make_bulk_scenario(static_cast<std::uint64_t>(GetParam()));
+  expect_bit_identical(run_bulk_scenario<RefFluid>(s),
+                       run_bulk_scenario<net::FluidNet>(s));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, FluidBulkReferenceTest, ::testing::Range(1, 9));
+
+// The bulk family must reach the shape it claims: 200-1,000 live flows over
+// <= 4 paths, the capacity drop landing while flows still run, and
+// snapshots where flows of two or more distinct caps sit at their caps on
+// the shared link at once.
+TEST(FluidBulkReferenceCoverage, ScenariosReachTheirShape) {
+  int multi_cap_snapshots = 0;
+  for (int seed = 1; seed < 9; ++seed) {
+    const BulkScenario s = make_bulk_scenario(static_cast<std::uint64_t>(seed));
+    int live = 0;
+    for (int w : s.window) live += w;
+    EXPECT_GE(live, 200);
+    EXPECT_LE(live, 1000);
+    EXPECT_LE(s.paths.size(), 4u);
+
+    std::map<std::string, double> cap_of;  // "f<i>" -> cap
+    std::map<std::string, std::vector<double>> binding;  // snapshot -> caps
+    double active_at_drop = 0;
+    for (const Observation& o : run_bulk_scenario<net::FluidNet>(s)) {
+      const auto sp = o.what.rfind(' ');
+      const std::string head = o.what.substr(0, sp);
+      const std::string flow = o.what.substr(sp + 1);
+      if (head == "cap") cap_of[flow] = o.value;
+      if (o.what == "drop active") active_at_drop = o.value;
+      const auto rate = head.find(" rate");
+      if (rate != std::string::npos && std::isfinite(cap_of[flow]) &&
+          o.value == cap_of[flow]) {
+        auto& caps = binding[head + "@" + std::to_string(o.at)];
+        if (std::find(caps.begin(), caps.end(), o.value) == caps.end()) {
+          caps.push_back(o.value);
+        }
+      }
+    }
+    EXPECT_GT(active_at_drop, 0) << "seed " << seed;
+    for (const auto& [snap, caps] : binding) {
+      if (caps.size() >= 2) ++multi_cap_snapshots;
+    }
+  }
+  EXPECT_GT(multi_cap_snapshots, 4);
+}
 
 // Scenarios must actually exercise the features they claim to cover.
 TEST(FluidReferenceCoverage, ScenariosCoverEveryOperation) {

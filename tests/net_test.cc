@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <vector>
 
 #include "net/addr.h"
 #include "net/fluid.h"
@@ -236,6 +237,90 @@ TEST_F(FluidTest, ZeroRateFlowNeverCompletes) {
   net.set_flow_cap(f, net::kUncapped);
   loop.run();
   EXPECT_TRUE(done);
+}
+
+// ------------------------------------------------------------ flow classes
+
+TEST_F(FluidTest, FlowsOfOneClassReportIdenticalRates) {
+  // Two paths share a thin link; flows on one (path, cap) pair form one
+  // class and must read back one rate, bit for bit, through every change.
+  auto thin = net.add_link(7.3, 0_ns);
+  auto a = net.add_link(40.0, 0_ns);
+  auto b = net.add_link(25.0, 0_ns);
+  std::vector<net::FlowId> on_a, on_b;
+  for (int i = 0; i < 9; ++i) {
+    on_a.push_back(net.start_flow({a, thin}, 0, net::kUncapped, nullptr));
+    on_b.push_back(net.start_flow({b, thin}, 0, net::kUncapped, nullptr));
+  }
+  auto same_rates = [&](const std::vector<net::FlowId>& ids) {
+    for (net::FlowId id : ids) {
+      if (net.current_rate_gbps(id) != net.current_rate_gbps(ids[0])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  EXPECT_EQ(net.active_classes(), 2u);
+  EXPECT_TRUE(same_rates(on_a));
+  EXPECT_TRUE(same_rates(on_b));
+  net.set_link_capacity(thin, 3.3);
+  EXPECT_TRUE(same_rates(on_a));
+  EXPECT_TRUE(same_rates(on_b));
+  net.cancel_flow(on_a[4]);
+  on_a.erase(on_a.begin() + 4);
+  EXPECT_TRUE(same_rates(on_a));
+  EXPECT_TRUE(same_rates(on_b));
+  EXPECT_EQ(net.active_classes(), 2u);
+}
+
+TEST_F(FluidTest, SetFlowCapMovesAFlowBetweenClasses) {
+  auto link = net.add_link(40.0, 0_ns);
+  auto f1 = net.start_flow({link}, 0, net::kUncapped, nullptr);
+  auto f2 = net.start_flow({link}, 0, net::kUncapped, nullptr);
+  auto f3 = net.start_flow({link}, 0, net::kUncapped, nullptr);
+  EXPECT_EQ(net.active_classes(), 1u);
+  net.set_flow_cap(f1, 4.0);  // leaves the uncapped class for a new one
+  EXPECT_EQ(net.active_classes(), 2u);
+  EXPECT_EQ(net.current_rate_gbps(f1), 4.0);
+  EXPECT_EQ(net.current_rate_gbps(f2), 18.0);
+  net.set_flow_cap(f2, 4.0);  // joins f1's class
+  EXPECT_EQ(net.active_classes(), 2u);
+  EXPECT_EQ(net.current_rate_gbps(f2), 4.0);
+  EXPECT_EQ(net.current_rate_gbps(f3), 32.0);
+  net.set_flow_cap(f3, 4.0);  // the uncapped class empties and is freed
+  EXPECT_EQ(net.active_classes(), 1u);
+  net.set_flow_cap(f1, net::kUncapped);
+  net.set_flow_cap(f2, net::kUncapped);
+  EXPECT_EQ(net.active_classes(), 2u);
+  EXPECT_EQ(net.current_rate_gbps(f1), 18.0);
+  EXPECT_EQ(net.current_rate_gbps(f2), 18.0);
+  EXPECT_EQ(net.current_rate_gbps(f3), 4.0);
+}
+
+TEST_F(FluidTest, EmptiedClassesAreReleased) {
+  auto l1 = net.add_link(40.0, 0_ns);
+  auto l2 = net.add_link(40.0, 0_ns);
+  int done = 0;
+  for (int i = 0; i < 6; ++i) {
+    net.start_flow({l1, l2}, 1000 * (i + 1), net::kUncapped, [&] { ++done; });
+    net.start_flow({l2}, 1000, i % 2 == 0 ? 5.0 : net::kUncapped,
+                   [&] { ++done; });
+  }
+  auto unbounded = net.start_flow({l2, l1}, 0, net::kUncapped, nullptr);
+  EXPECT_EQ(net.active_classes(), 4u);
+  loop.run_until(1_ms);
+  EXPECT_EQ(done, 12);
+  EXPECT_EQ(net.active_classes(), 1u);  // completions freed three classes
+  net.cancel_flow(unbounded);
+  EXPECT_EQ(net.active_flows(), 0u);
+  EXPECT_EQ(net.active_classes(), 0u);
+  loop.run();
+  // A freed slot is reused by the next class.
+  auto again = net.start_flow({l1}, 0, 1.0, nullptr);
+  EXPECT_EQ(net.active_classes(), 1u);
+  EXPECT_EQ(net.current_rate_gbps(again), 1.0);
+  net.cancel_flow(again);
+  EXPECT_EQ(net.active_classes(), 0u);
 }
 
 // Property test: on random topologies the allocation is feasible and

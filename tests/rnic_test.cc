@@ -251,6 +251,51 @@ TEST_F(RnicTest, RdmaWriteLandsAtRemoteOffsetWithoutRecvWqe) {
   EXPECT_TRUE(drain(*b_, eb.rcq).empty());  // no CQE at the target
 }
 
+TEST_F(RnicTest, RetransmitResendsTheBytesAsPosted) {
+  // The responder sits in INIT, so the first attempt is dropped unacked.
+  // The requester's buffer is then overwritten before the responder comes
+  // up: the retransmission must carry the bytes read at post time.
+  auto ea = make_ep(*a_);
+  auto eb = make_ep(*b_);
+  rnic::QpAttr attr;
+  attr.state = QpState::kInit;
+  ASSERT_EQ(a_->modify_qp(ea.qp, attr, rnic::kAttrState), Status::kOk);
+  ASSERT_EQ(b_->modify_qp(eb.qp, attr, rnic::kAttrState), Status::kOk);
+  attr.state = QpState::kRtr;
+  attr.dest_gid = net::Gid::from_ipv4(b_->config().ip);
+  attr.dest_qpn = eb.qp;
+  ASSERT_EQ(a_->modify_qp(ea.qp, attr,
+                          rnic::kAttrState | rnic::kAttrDestGid |
+                              rnic::kAttrDestQpn),
+            Status::kOk);
+  attr.state = QpState::kRts;
+  ASSERT_EQ(a_->modify_qp(ea.qp, attr, rnic::kAttrState), Status::kOk);
+
+  fill(ea, 0, "as posted");
+  SendWr wr{1, WrOpcode::kRdmaWrite, {ea.va, 9, ea.key}};
+  wr.remote_addr = eb.va;
+  wr.rkey = eb.key;
+  ASSERT_EQ(a_->post_send(ea.qp, wr), Status::kOk);
+  loop_.run_until(1_ms);  // delivered and dropped; retry timer pending
+  ASSERT_EQ(b_->counters().dropped_bad_state, 1u);
+  ASSERT_EQ(a_->counters().retransmits, 0u);
+  fill(ea, 0, "rewritten");
+
+  attr.state = QpState::kRtr;
+  attr.dest_gid = net::Gid::from_ipv4(a_->config().ip);
+  attr.dest_qpn = ea.qp;
+  ASSERT_EQ(b_->modify_qp(eb.qp, attr,
+                          rnic::kAttrState | rnic::kAttrDestGid |
+                              rnic::kAttrDestQpn),
+            Status::kOk);
+  loop_.run();
+  EXPECT_EQ(a_->counters().retransmits, 1u);
+  EXPECT_EQ(peek(eb, 0, 9), "as posted");
+  auto cqes = drain(*a_, ea.scq);
+  ASSERT_EQ(cqes.size(), 1u);
+  EXPECT_EQ(cqes[0].status, WcStatus::kSuccess);
+}
+
 TEST_F(RnicTest, RdmaReadFetchesRemoteBytes) {
   auto ea = make_ep(*a_);
   auto eb = make_ep(*b_);

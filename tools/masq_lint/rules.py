@@ -16,10 +16,11 @@
   naked-new       No naked `new` in src/ — ownership goes through
                   std::make_unique/std::make_shared or containers.
   container       No std::map / std::unordered_map in src/sim, src/rnic,
-                  src/sdn or src/net. The DESIGN.md §13 refactor moved every hot
-                  table to sim::FlatMap (open addressing, insertion-ordered
-                  iteration); node-based maps cost a cache miss per hop and
-                  unordered ones leak hash-table layout into event order.
+                  src/sdn, src/net or src/mem. The DESIGN.md §13 refactor
+                  moved every hot table to sim::FlatMap (open addressing,
+                  insertion-ordered iteration); node-based maps cost a
+                  cache miss per hop and unordered ones leak hash-table
+                  layout into event order.
                   Cold-path exceptions annotate an allowance.
   event-callback  No std::function in event-loop scheduling signatures in
                   src/sim. Scheduling goes through sim::Callback (64-byte
@@ -242,6 +243,7 @@ CONTAINER_DIRS = (
     os.path.join("src", "rnic"),
     os.path.join("src", "sdn"),
     os.path.join("src", "net"),
+    os.path.join("src", "mem"),
 )
 CONTAINER_RE = re.compile(r"\bstd::(unordered_map|map)\s*<")
 

@@ -45,6 +45,8 @@ EXPECT = {
     ("container", "clean"): set(),
     # The fluid model's flow table: net/ is a hot-path layer too.
     ("container", "net_violating"): {"container"},
+    # Guest DRAM's chunk table: mem/ sits on every DMA.
+    ("container", "mem_violating"): {"container"},
     ("event_callback", "violating"): {"event-callback"},
     ("event_callback", "allowed"): set(),
     ("event_callback", "clean"): set(),
